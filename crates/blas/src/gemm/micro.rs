@@ -3,8 +3,12 @@
 //! Each call multiplies one packed `MR × depth` tile of `A` (column-major)
 //! by one packed `depth × NR` tile of `B` (row-major), accumulating into an
 //! `MR × NR` block of "registers" — on Knights Corner these are the vector
-//! registers `v0..v30`; here they are a stack array the compiler keeps in
-//! SIMD registers for small `MR`.
+//! registers `v0..v30`; here they are a stack array. On x86-64 with AVX2
+//! and FMA the tile product runs through the crate's FMA-compiled copy, in
+//! which each accumulator row's `NR` lanes become `vfmadd` vector
+//! instructions (kept in registers for the small host blocks, spilled for
+//! the 30- and 31-row KNC blocks); otherwise every `mul_add` is a call to
+//! the software `fma`. Both give identical bits.
 //!
 //! Two variants are provided, matching the paper's Basic Kernel 1 (Fig. 2b)
 //! and Basic Kernel 2 (Fig. 2c):
@@ -24,6 +28,7 @@
 //! *timing* difference is modeled by the cycle-accurate emulator in
 //! `phi-knc`, which executes the same two instruction schedules.
 
+use crate::Body;
 use phi_matrix::{MatrixViewMut, Scalar};
 
 /// Selects the instruction schedule of the microkernel.
@@ -39,6 +44,7 @@ pub enum MicroKernelKind {
 }
 
 /// Monomorphic inner loop for a fixed register block.
+#[inline(always)]
 fn run<T: Scalar, const MR: usize, const NR: usize>(
     kind: MicroKernelKind,
     depth: usize,
@@ -119,6 +125,7 @@ fn run<T: Scalar, const MR: usize, const NR: usize>(
 /// Fully dynamic fallback for register blocks without a monomorphized
 /// instantiation.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn run_dyn<T: Scalar>(
     mr: usize,
     nr: usize,
@@ -147,14 +154,55 @@ fn run_dyn<T: Scalar>(
     }
 }
 
+/// The arguments of one [`micro_kernel_into`] call: the body the crate's
+/// instruction-set dispatch runs.
+pub(crate) struct TileProduct<'a, 'c, T: Scalar> {
+    pub(crate) kind: MicroKernelKind,
+    pub(crate) mr: usize,
+    pub(crate) nr: usize,
+    pub(crate) depth: usize,
+    pub(crate) a_tile: &'a [T],
+    pub(crate) b_tile: &'a [T],
+    pub(crate) alpha: T,
+    pub(crate) beta: T,
+    pub(crate) c: &'a mut MatrixViewMut<'c, T>,
+}
+
+impl<T: Scalar> Body for TileProduct<'_, '_, T> {
+    /// Dispatches to monomorphized loops for the register blocks used in
+    /// this workspace: the paper's native KNC shapes (31×8 for Kernel 1's
+    /// natural block, 30×8 for Kernel 2's) and host-friendly shapes.
+    #[inline(always)]
+    fn run(self) {
+        let Self {
+            kind,
+            mr,
+            nr,
+            depth,
+            a_tile: a,
+            b_tile: b,
+            alpha,
+            beta,
+            c,
+        } = self;
+        match (mr, nr) {
+            (4, 4) => run::<T, 4, 4>(kind, depth, a, b, alpha, beta, c),
+            (8, 8) => run::<T, 8, 8>(kind, depth, a, b, alpha, beta, c),
+            (16, 8) => run::<T, 16, 8>(kind, depth, a, b, alpha, beta, c),
+            (30, 8) => run::<T, 30, 8>(kind, depth, a, b, alpha, beta, c),
+            (31, 8) => run::<T, 31, 8>(kind, depth, a, b, alpha, beta, c),
+            _ => run_dyn(mr, nr, depth, a, b, alpha, beta, c),
+        }
+    }
+}
+
 /// Runs the microkernel for one `(mr × depth) · (depth × nr)` tile product,
 /// updating the `c` window (`c := alpha * a_tile * b_tile + beta * c`).
 ///
 /// `c` may be smaller than `mr × nr` at ragged edges; the padded part of
-/// the accumulators is discarded. Dispatches to monomorphized loops for the
-/// register blocks used in this workspace: the paper's native KNC shapes
-/// (31×8 for Kernel 1's natural block, 30×8 for Kernel 2's) and
-/// host-friendly shapes.
+/// the accumulators is discarded. Any `(mr, nr)` works; the paper's native
+/// KNC shapes (31×8, 30×8) and the host shapes 4×4, 8×8 and 16×8 have
+/// monomorphized register blocks.
 #[allow(clippy::too_many_arguments)]
 pub fn micro_kernel_into<T: Scalar>(
     kind: MicroKernelKind,
@@ -167,14 +215,17 @@ pub fn micro_kernel_into<T: Scalar>(
     beta: T,
     c: &mut MatrixViewMut<'_, T>,
 ) {
-    match (mr, nr) {
-        (4, 4) => run::<T, 4, 4>(kind, depth, a_tile, b_tile, alpha, beta, c),
-        (8, 8) => run::<T, 8, 8>(kind, depth, a_tile, b_tile, alpha, beta, c),
-        (16, 8) => run::<T, 16, 8>(kind, depth, a_tile, b_tile, alpha, beta, c),
-        (30, 8) => run::<T, 30, 8>(kind, depth, a_tile, b_tile, alpha, beta, c),
-        (31, 8) => run::<T, 31, 8>(kind, depth, a_tile, b_tile, alpha, beta, c),
-        _ => run_dyn(mr, nr, depth, a_tile, b_tile, alpha, beta, c),
-    }
+    crate::dispatch(TileProduct {
+        kind,
+        mr,
+        nr,
+        depth,
+        a_tile,
+        b_tile,
+        alpha,
+        beta,
+        c,
+    });
 }
 
 #[cfg(test)]

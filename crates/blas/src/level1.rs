@@ -4,6 +4,7 @@
 //! of: pivot search (`idamax`), column scaling (`scal`), row exchange
 //! (`swap`) and the AXPY underlying the rank-1 update.
 
+use crate::Body;
 use phi_matrix::Scalar;
 
 /// Index of the element with the largest absolute value (BLAS `IxAMAX`).
@@ -32,14 +33,30 @@ pub fn scal<T: Scalar>(alpha: T, x: &mut [T]) {
     }
 }
 
-/// `y := alpha * x + y` (BLAS `xAXPY`).
+/// `y := alpha * x + y` (BLAS `xAXPY`): the row update of `ger`, of both
+/// left-sided `trsm` solves and of `getf2`'s elimination step.
 ///
 /// # Panics
 /// Panics when the slices have different lengths.
 pub fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi = xi.mul_add(alpha, *yi);
+    crate::dispatch(Axpy { alpha, x, y });
+}
+
+/// The arguments of one [`axpy`] call: the body the crate's
+/// instruction-set dispatch runs.
+pub(crate) struct Axpy<'a, T> {
+    pub(crate) alpha: T,
+    pub(crate) x: &'a [T],
+    pub(crate) y: &'a mut [T],
+}
+
+impl<T: Scalar> Body for Axpy<'_, T> {
+    #[inline(always)]
+    fn run(self) {
+        for (yi, xi) in self.y.iter_mut().zip(self.x) {
+            *yi = xi.mul_add(self.alpha, *yi);
+        }
     }
 }
 

@@ -4,6 +4,7 @@
 //! elimination step applies a rank-1 update to the remaining panel.
 //! `gemv`/`trsv` support the solve path and the reference checks.
 
+use crate::level1::axpy;
 use phi_matrix::{MatrixView, MatrixViewMut, Scalar};
 
 /// Rank-1 update `A := A + alpha * x yᵀ` (BLAS `xGER`).
@@ -14,11 +15,7 @@ pub fn ger<T: Scalar>(alpha: T, x: &[T], y: &[T], a: &mut MatrixViewMut<'_, T>) 
     assert_eq!(x.len(), a.rows(), "ger: x length");
     assert_eq!(y.len(), a.cols(), "ger: y length");
     for (i, &xi) in x.iter().enumerate() {
-        let coeff = alpha * xi;
-        let row = a.row_mut(i);
-        for (aij, &yj) in row.iter_mut().zip(y) {
-            *aij = yj.mul_add(coeff, *aij);
-        }
+        axpy(alpha * xi, y, a.row_mut(i));
     }
 }
 

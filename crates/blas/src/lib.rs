@@ -1,7 +1,7 @@
 //! From-scratch dense linear algebra kernels for the `phi-hpl` workspace.
 //!
-//! This crate implements, in portable Rust, every BLAS/LAPACK routine the
-//! paper's Linpack flavours call:
+//! This crate implements, in plain Rust without intrinsics, every
+//! BLAS/LAPACK routine the paper's Linpack flavours call:
 //!
 //! * [`level1`] — `idamax`, `dscal`, `daxpy`, `dswap`, `ddot`, `dcopy`.
 //! * [`level2`] — `dger` (the rank-1 update inside unblocked panel
@@ -24,15 +24,23 @@
 //! * [`colmajor`] — zero-copy column-major adapters via the paper's
 //!   footnote-3 transpose identity.
 //!
+//! The two hot loop bodies — the GEMM microkernel and the AXPY row update
+//! shared by `ger`, `trsm` and `getf2` — are each written once and, on
+//! x86-64, also compiled for AVX2 + FMA and picked at run time (the
+//! `fma` module). Both copies give identical bits.
+//!
 //! Numerical behaviour is validated against naive reference implementations
 //! by unit and property tests; the HPL residual criterion is checked in the
 //! integration suites of `phi-hpl`.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod colmajor;
 pub mod condest;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod fma;
 pub mod gemm;
 pub mod laswp;
 pub mod level1;
@@ -47,3 +55,21 @@ pub use laswp::{laswp_forward, laswp_inverse};
 pub use lu::{getf2, getrf, lu_solve, LuError, LuFactors};
 pub use recursive::{getf2_recursive, getrs, solve_multi};
 pub use trsm::{trsm_left_lower_unit, trsm_left_upper, trsm_right_upper};
+
+/// A hot loop body, written once and run by [`dispatch`]. Implementors
+/// mark `run` `#[inline(always)]` so every wrapper that calls it gets its
+/// own copy of the code, compiled for that wrapper's instruction set.
+pub(crate) trait Body {
+    /// Executes the loop.
+    fn run(self);
+}
+
+#[cfg(target_arch = "x86_64")]
+pub(crate) use fma::dispatch;
+
+/// Runs `body`; only x86-64 has a second, FMA-compiled copy to pick.
+#[cfg(not(target_arch = "x86_64"))]
+#[inline]
+pub(crate) fn dispatch<B: Body>(body: B) {
+    body.run();
+}

@@ -11,8 +11,7 @@
 
 use crate::gemm::{gemm_with, BlockSizes};
 use crate::laswp::{laswp_forward, laswp_vec};
-use crate::level1::iamax;
-use crate::level2::ger;
+use crate::level1::axpy;
 use crate::trsm::{trsm_left_lower_unit, trsm_left_upper};
 use phi_matrix::{Matrix, MatrixViewMut, Scalar};
 
@@ -53,10 +52,17 @@ pub fn getf2<T: Scalar>(
     ipiv.clear();
     ipiv.reserve(steps);
     for j in 0..steps {
-        // Pivot search in column j, rows j..m.
-        let col: Vec<T> = (j..m).map(|i| a.at(i, j)).collect();
-        let rel = iamax(&col).expect("non-empty pivot column");
-        let piv = j + rel;
+        // Pivot search in column j, rows j..m, in place; ties keep the
+        // lowest index, as `iamax` does.
+        let mut piv = j;
+        let mut best = a.at(j, j).abs();
+        for i in j + 1..m {
+            let v = a.at(i, j).abs();
+            if v > best {
+                piv = i;
+                best = v;
+            }
+        }
         ipiv.push(piv);
         let pval = a.at(piv, j);
         if pval == T::ZERO {
@@ -66,17 +72,16 @@ pub fn getf2<T: Scalar>(
         }
         // Swap rows j and piv across the full panel width.
         a.swap_rows(j, piv);
-        // Scale the multipliers.
+        // Scale each multiplier, then apply the rank-1 update of the
+        // trailing part, A[i, j+1..] -= l[i] * u[j+1..], row by row; the
+        // coefficient is formed as `-1 · l[i]`, the way `ger(-1, ..)` does.
         let inv = T::ONE / a.at(j, j);
-        for i in j + 1..m {
-            *a.at_mut(i, j) *= inv;
-        }
-        // Rank-1 update of the trailing part: A[j+1.., j+1..] -= l * u.
-        if j + 1 < m && j + 1 < n {
-            let x: Vec<T> = (j + 1..m).map(|i| a.at(i, j)).collect();
-            let y: Vec<T> = (j + 1..n).map(|c| a.at(j, c)).collect();
-            let mut trail = a.sub_mut(j + 1, j + 1, m - j - 1, n - j - 1);
-            ger(-T::ONE, &x, &y, &mut trail);
+        let (top, mut below) = a.reborrow().split_rows_mut(j + 1);
+        let u = &top.row(j)[j + 1..];
+        for r in 0..below.rows() {
+            let row = below.row_mut(r);
+            row[j] *= inv;
+            axpy(-T::ONE * row[j], u, &mut row[j + 1..]);
         }
     }
     Ok(())

@@ -15,6 +15,7 @@
 //! trick HPL's update uses.
 
 use crate::gemm::{gemm_with, BlockSizes};
+use crate::level1::axpy;
 use phi_matrix::{MatrixView, MatrixViewMut, Scalar};
 
 /// Solves `L X = B` in place (`B := L⁻¹ B`), `L` unit lower triangular.
@@ -34,11 +35,7 @@ pub fn trsm_left_lower_unit<T: Scalar>(l: &MatrixView<'_, T>, b: &mut MatrixView
             // b[i, :] -= l[i, p] * b[p, :], split to satisfy the borrow
             // checker: rows p and i are disjoint.
             let (top, mut bottom) = b.reborrow().split_rows_mut(i);
-            let src = top.row(p);
-            let dst = bottom.row_mut(0);
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d = s.mul_add(-lip, *d);
-            }
+            axpy(-lip, top.row(p), bottom.row_mut(0));
         }
     }
 }
@@ -60,11 +57,7 @@ pub fn trsm_left_upper<T: Scalar>(u: &MatrixView<'_, T>, b: &mut MatrixViewMut<'
                 continue;
             }
             let (mut top, bottom) = b.reborrow().split_rows_mut(p);
-            let src = bottom.row(0);
-            let dst = top.row_mut(i);
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d = s.mul_add(-uip, *d);
-            }
+            axpy(-uip, bottom.row(0), top.row_mut(i));
         }
         let diag = u.at(i, i);
         assert!(diag != T::ZERO, "trsm: zero diagonal at {i}");

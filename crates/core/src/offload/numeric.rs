@@ -12,6 +12,7 @@ use phi_blas::gemm::{gemm_with, BlockSizes};
 use phi_matrix::{Matrix, MatrixViewMut};
 use phi_sched::TileDeque;
 use std::cell::UnsafeCell;
+use std::sync::Barrier;
 
 /// C windows are disjoint per tile; tiles are claimed exactly once.
 struct SharedC {
@@ -74,10 +75,16 @@ pub fn offload_gemm_numeric(
         gemm_with(-1.0, &a_strip, &b_strip, 1.0, &mut cwin, bs);
     };
 
+    // No worker steals before every worker is running: with fast tiles
+    // the first thread spawned could otherwise drain the whole deque
+    // while the others are still starting, so the split would measure
+    // spawn latency instead of each side's speed.
+    let start = Barrier::new(card_threads + host_threads);
     let (card_count, host_count) = std::thread::scope(|s| {
         let mut card_handles = Vec::new();
         for _ in 0..card_threads {
             card_handles.push(s.spawn(|| {
+                start.wait();
                 let mut done = 0;
                 while let Some(idx) = deque.steal_front() {
                     run_tile(idx, &knc_bs);
@@ -89,6 +96,7 @@ pub fn offload_gemm_numeric(
         let mut host_handles = Vec::new();
         for _ in 0..host_threads {
             host_handles.push(s.spawn(|| {
+                start.wait();
                 let mut done = 0;
                 while let Some(idx) = deque.steal_back() {
                     run_tile(idx, &host_bs);

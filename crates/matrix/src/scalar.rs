@@ -45,7 +45,7 @@ pub trait Scalar:
     fn abs(self) -> Self;
     /// Square root.
     fn sqrt(self) -> Self;
-    /// Fused (or contracted) multiply-add `self * a + b`.
+    /// Fused multiply-add `self * a + b`, rounded once.
     fn mul_add(self, a: Self, b: Self) -> Self;
     /// Widening conversion to `f64` for accumulation in norms/residuals.
     fn to_f64(self) -> f64;
@@ -53,6 +53,7 @@ pub trait Scalar:
     fn from_f64(v: f64) -> Self;
     /// IEEE max that ignores NaN ordering pitfalls for our use (inputs are
     /// finite in all kernels).
+    #[inline]
     fn max(self, other: Self) -> Self {
         if self > other {
             self
@@ -68,18 +69,23 @@ impl Scalar for f64 {
     const EPSILON: Self = f64::EPSILON;
     const BYTES: usize = 8;
 
+    #[inline]
     fn abs(self) -> Self {
         f64::abs(self)
     }
+    #[inline]
     fn sqrt(self) -> Self {
         f64::sqrt(self)
     }
+    #[inline]
     fn mul_add(self, a: Self, b: Self) -> Self {
         f64::mul_add(self, a, b)
     }
+    #[inline]
     fn to_f64(self) -> f64 {
         self
     }
+    #[inline]
     fn from_f64(v: f64) -> Self {
         v
     }
@@ -91,18 +97,23 @@ impl Scalar for f32 {
     const EPSILON: Self = f32::EPSILON;
     const BYTES: usize = 4;
 
+    #[inline]
     fn abs(self) -> Self {
         f32::abs(self)
     }
+    #[inline]
     fn sqrt(self) -> Self {
         f32::sqrt(self)
     }
+    #[inline]
     fn mul_add(self, a: Self, b: Self) -> Self {
         f32::mul_add(self, a, b)
     }
+    #[inline]
     fn to_f64(self) -> f64 {
         self as f64
     }
+    #[inline]
     fn from_f64(v: f64) -> Self {
         v as f32
     }
