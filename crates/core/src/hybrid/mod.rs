@@ -25,11 +25,9 @@
 //! (Table III) and per-iteration profiles (Fig. 9).
 
 pub mod faulty;
-pub mod rankdes;
 pub mod stage_gantt;
 
 pub use faulty::{recovery_regimes, simulate_cluster_faulty, FaultyClusterResult, FtPolicy};
-pub use rankdes::{simulate_cluster_rankdes, RankDesResult};
 
 use crate::offload::OffloadModel;
 use crate::report::GigaflopsReport;

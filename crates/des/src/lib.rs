@@ -27,21 +27,18 @@
 #![warn(missing_docs)]
 
 pub mod link;
-pub mod parallel;
 pub mod shared;
 pub mod trace;
 
 pub use link::Link;
-pub use parallel::{LogicalProcess, Mailbox, ParallelDes, ParallelReport};
 pub use shared::SharedChannel;
 pub use trace::{to_chrome_json, Kind, Span, Trace};
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// The total event-ordering key shared by the sequential executive and
-/// the rank-partitioned parallel engine: events fire by `(time, rank,
-/// seq)`. Because every `(rank, seq)` pair is unique, the order is
+/// The total event-ordering key of the executive: events fire by `(time,
+/// rank, seq)`. Because every `(rank, seq)` pair is unique, the order is
 /// *total* — no two distinct events compare equal — so pop order cannot
 /// depend on heap internals or insertion order.
 #[derive(Clone, Copy, Debug)]

@@ -123,90 +123,9 @@ impl Cache {
         entry.truncate(ways);
     }
 
-    /// [`Self::access`] with an undo record appended to `log`, for the
-    /// trace-replay rollback path. Counters are NOT captured in the log —
-    /// the replayer snapshots and restores them wholesale.
-    pub fn access_logged(&mut self, elem_idx: usize, log: &mut Vec<CacheUndo>) -> bool {
-        let line = self.line_of(elem_idx);
-        let set = self.set_of(line);
-        let ways = self.cfg.ways;
-        let entry = &mut self.tags[set];
-        if let Some(pos) = entry.iter().position(|&t| t == line) {
-            entry.remove(pos);
-            entry.insert(0, line);
-            self.hits += 1;
-            log.push(CacheUndo::Touched { set, from_pos: pos });
-            true
-        } else {
-            entry.insert(0, line);
-            let evicted = if entry.len() > ways {
-                entry.pop()
-            } else {
-                None
-            };
-            self.misses += 1;
-            log.push(CacheUndo::Inserted { set, evicted });
-            false
-        }
-    }
-
-    /// [`Self::fill`] with an undo record appended to `log`.
-    pub fn fill_logged(&mut self, elem_idx: usize, log: &mut Vec<CacheUndo>) {
-        let line = self.line_of(elem_idx);
-        let set = self.set_of(line);
-        let ways = self.cfg.ways;
-        let entry = &mut self.tags[set];
-        if let Some(pos) = entry.iter().position(|&t| t == line) {
-            entry.remove(pos);
-            entry.insert(0, line);
-            log.push(CacheUndo::Touched { set, from_pos: pos });
-        } else {
-            entry.insert(0, line);
-            let evicted = if entry.len() > ways {
-                entry.pop()
-            } else {
-                None
-            };
-            log.push(CacheUndo::Inserted { set, evicted });
-        }
-    }
-
-    /// Reverses one logged mutation. Records must be undone in reverse
-    /// order of logging; doing so restores the exact pre-mutation LRU
-    /// state (counters are restored separately via [`Self::set_stats`]).
-    pub fn undo(&mut self, op: CacheUndo) {
-        match op {
-            CacheUndo::Touched { set, from_pos } => {
-                let line = self.tags[set].remove(0);
-                self.tags[set].insert(from_pos, line);
-            }
-            CacheUndo::Inserted { set, evicted } => {
-                self.tags[set].remove(0);
-                if let Some(t) = evicted {
-                    self.tags[set].push(t);
-                }
-            }
-        }
-    }
-
-    /// Overwrites the (hits, misses) counters — rollback companion of
-    /// [`Self::undo`].
-    pub fn set_stats(&mut self, hits: u64, misses: u64) {
-        self.hits = hits;
-        self.misses = misses;
-    }
-
-    /// Invalidates every line (counters are kept) — the cache half of a
-    /// TLB-shootdown-style global invalidation.
-    pub fn flush(&mut self) {
-        for set in &mut self.tags {
-            set.clear();
-        }
-    }
-
     /// FNV-1a digest of the full tag state (sets in order, MRU-first
-    /// within each set) plus the counters — bit-identity evidence for the
-    /// differential harness.
+    /// within each set) plus the counters — part of
+    /// [`crate::emu::CoreSim::state_digest`].
     pub fn digest(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let fold = |w: u64, h: &mut u64| {
@@ -240,27 +159,6 @@ impl Cache {
             self.hits as f64 / total as f64
         }
     }
-}
-
-/// A reversible record of one cache mutation, produced by
-/// [`Cache::access_logged`] / [`Cache::fill_logged`] and consumed (in
-/// reverse order) by [`Cache::undo`].
-#[derive(Clone, Copy, Debug)]
-pub enum CacheUndo {
-    /// An already-resident line moved from `from_pos` to MRU position 0.
-    Touched {
-        /// Set index the mutation happened in.
-        set: usize,
-        /// Position the line occupied before being promoted.
-        from_pos: usize,
-    },
-    /// A new line was inserted at MRU, possibly evicting the LRU line.
-    Inserted {
-        /// Set index the mutation happened in.
-        set: usize,
-        /// The evicted tag, if the set was full.
-        evicted: Option<u64>,
-    },
 }
 
 /// Per-cycle occupancy of the L1's two ports.
@@ -297,8 +195,8 @@ pub struct PendingFill {
     /// Number of cycles the fill has been deferred by busy ports.
     pub deferred: u32,
     /// Per-iteration stride of the prefetch address that created this
-    /// fill. Lets the trace engine compare pending lists across loop
-    /// iterations in iteration-relative form (`elem_idx - iter * scale`).
+    /// fill. Folded into [`crate::emu::CoreSim::state_digest`], whose
+    /// value `tests/golden/kernel_state.txt` pins.
     pub scale_iter: usize,
 }
 

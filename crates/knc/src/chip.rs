@@ -181,19 +181,13 @@ impl Default for GemmModel {
 }
 
 /// Steady-state kernel costs re-measured on the cycle-level emulator
-/// ([`crate::kernels`]) with the block-trace fast path enabled — the
-/// calibration experiment behind [`GemmModel`]'s two kernel constants.
+/// ([`crate::kernels`]) — the calibration experiment behind [`GemmModel`]'s two kernel constants.
 #[derive(Clone, Copy, Debug)]
 pub struct KernelCalibration {
     /// Measured per-thread steady cycles per iteration of Basic Kernel 1.
     pub kernel1_cycles_per_iter: f64,
     /// Measured per-thread steady cycles per iteration of Basic Kernel 2.
     pub kernel2_cycles_per_iter: f64,
-    /// Trace-replay coverage speedup of the Kernel 1 measurement run
-    /// (total cycles over interpreter-executed cycles).
-    pub kernel1_replay_speedup: f64,
-    /// Trace-replay coverage speedup of the Kernel 2 measurement run.
-    pub kernel2_replay_speedup: f64,
 }
 
 impl KernelCalibration {
@@ -203,12 +197,8 @@ impl KernelCalibration {
     /// reproduce: Kernel 2 at exactly 32 cycles per 30-FMA iteration
     /// (stall-free holes absorb every prefetch fill), Kernel 1 dragged
     /// above 32 by fill stalls toward the paper's worst case of 34.
-    ///
-    /// The measurement runs with the trace fast path on; its bit-identity
-    /// guarantee (`crates/knc/src/trace.rs`) means the numbers are the
-    /// interpreter's own.
     pub fn measure(depth: usize) -> Self {
-        use crate::kernels::{kernel_mr, run_tile_product_traced, NR};
+        use crate::kernels::{kernel_mr, run_tile_product, NR};
         use crate::pipeline::PipelineConfig;
         let run = |kind: MicroKernelKind| {
             let mr = kernel_mr(kind);
@@ -222,19 +212,14 @@ impl KernelCalibration {
                     .map(|i| ((i * 5 + t) % 17) as f64 - 8.0)
                     .collect()
             });
-            let (rep, _, speedup) =
-                run_tile_product_traced(kind, depth, &a, &bs, PipelineConfig::default());
+            let rep = run_tile_product(kind, depth, &a, &bs, PipelineConfig::default());
             // steady_cycles_per_iter counts all four SMT threads; the
             // model's constant is per thread.
-            (rep.steady_cycles_per_iter / 4.0, speedup)
+            rep.steady_cycles_per_iter / 4.0
         };
-        let (k1, s1) = run(MicroKernelKind::Kernel1);
-        let (k2, s2) = run(MicroKernelKind::Kernel2);
         Self {
-            kernel1_cycles_per_iter: k1,
-            kernel2_cycles_per_iter: k2,
-            kernel1_replay_speedup: s1,
-            kernel2_replay_speedup: s2,
+            kernel1_cycles_per_iter: run(MicroKernelKind::Kernel1),
+            kernel2_cycles_per_iter: run(MicroKernelKind::Kernel2),
         }
     }
 }
@@ -619,13 +604,6 @@ mod tests {
             cal.kernel1_cycles_per_iter > 32.0 && cal.kernel1_cycles_per_iter < 34.5,
             "kernel1 measured {:.3} cycles/iter",
             cal.kernel1_cycles_per_iter
-        );
-        // The measurement itself ran mostly on the trace fast path.
-        assert!(
-            cal.kernel1_replay_speedup > 2.0 && cal.kernel2_replay_speedup > 2.0,
-            "replay speedups {:.2} / {:.2}",
-            cal.kernel1_replay_speedup,
-            cal.kernel2_replay_speedup
         );
         // A model built from the measurement stays close to the default
         // calibration and preserves the Kernel 2 > Kernel 1 ordering.

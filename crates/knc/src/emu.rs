@@ -24,9 +24,8 @@ use crate::cache::{Cache, CacheConfig, PendingFill};
 use crate::isa::{
     broadcast, swizzle, Addr, Instr, Operand, Program, StreamId, VReg, NUM_VREGS, VLEN,
 };
-use crate::pipeline::{PipelineConfig, TraceConfig};
+use crate::pipeline::PipelineConfig;
 use crate::tlb::Tlb;
-use crate::trace::{self, Cmd, CmdKind, ExecOut, ReadOut, Recording, TraceEngine, TraceStats};
 
 /// Per-thread base element indices of the three kernel streams.
 #[derive(Clone, Copy, Debug, Default)]
@@ -40,7 +39,7 @@ pub struct StreamBases {
 }
 
 impl StreamBases {
-    pub(crate) fn get(&self, s: StreamId) -> usize {
+    fn get(&self, s: StreamId) -> usize {
         match s {
             StreamId::A => self.a,
             StreamId::B => self.b,
@@ -84,12 +83,12 @@ impl RunStats {
 
 /// Control state of one hardware thread (registers live in [`CoreSim`]).
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct ThreadCtl {
-    pub(crate) bases: StreamBases,
-    pub(crate) pc: usize,
-    pub(crate) iter: usize,
-    pub(crate) in_epilogue: bool,
-    pub(crate) done: bool,
+struct ThreadCtl {
+    bases: StreamBases,
+    pc: usize,
+    iter: usize,
+    in_epilogue: bool,
+    done: bool,
 }
 
 impl ThreadCtl {
@@ -106,24 +105,17 @@ impl ThreadCtl {
 
 /// One simulated KNC core: shared L1/L2, four threads, one vector pipe.
 pub struct CoreSim {
-    pub(crate) cfg: PipelineConfig,
-    pub(crate) mem: Vec<f64>,
-    pub(crate) l1: Cache,
-    pub(crate) l2: Cache,
-    pub(crate) tlb: Tlb,
-    pub(crate) thread_regs: Vec<[VReg; NUM_VREGS]>,
-    pub(crate) pending_fills: Vec<PendingFill>,
-    pub(crate) stats: RunStats,
-    pub(crate) cycle: u64,
+    cfg: PipelineConfig,
+    mem: Vec<f64>,
+    l1: Cache,
+    l2: Cache,
+    tlb: Tlb,
+    thread_regs: Vec<[VReg; NUM_VREGS]>,
+    pending_fills: Vec<PendingFill>,
+    stats: RunStats,
+    cycle: u64,
     /// Remaining stall cycles (no issue while > 0).
-    pub(crate) stall: u64,
-    /// Block-trace engine; `None` runs pure interpretation.
-    trace: Option<Box<TraceEngine>>,
-    /// In-progress segment recording (owned here so the hot execute path
-    /// can push commands without going through the engine).
-    pub(crate) rec: Option<Recording>,
-    /// Outcome class of the instruction currently executing (scratch).
-    last_out: ExecOut,
+    stall: u64,
 }
 
 impl CoreSim {
@@ -141,56 +133,6 @@ impl CoreSim {
             stats: RunStats::default(),
             cycle: 0,
             stall: 0,
-            trace: None,
-            rec: None,
-            last_out: ExecOut::None,
-        }
-    }
-
-    /// Enables the block-trace fast path with default knobs. Runs stay
-    /// bit-identical to pure interpretation; see [`crate::trace`].
-    pub fn enable_trace(&mut self) {
-        self.enable_trace_with(TraceConfig::default());
-    }
-
-    /// [`Self::enable_trace`] with explicit [`TraceConfig`] knobs.
-    pub fn enable_trace_with(&mut self, cfg: TraceConfig) {
-        self.trace = Some(Box::new(TraceEngine::new(cfg)));
-    }
-
-    /// Trace-engine counters (`None` when tracing is disabled).
-    pub fn trace_stats(&self) -> Option<TraceStats> {
-        self.trace.as_ref().map(|t| t.stats())
-    }
-
-    /// Ratio of total simulated cycles to interpreter-executed cycles —
-    /// the deterministic coverage speedup of the fast path (1.0 when
-    /// nothing replayed).
-    pub fn replay_speedup(&self) -> f64 {
-        let Some(ts) = self.trace_stats() else {
-            return 1.0;
-        };
-        let total = self.stats.cycles;
-        let interpreted = total.saturating_sub(ts.replayed_cycles);
-        if total == 0 || interpreted == 0 {
-            1.0
-        } else {
-            total as f64 / interpreted as f64
-        }
-    }
-
-    /// A TLB shootdown: drops every translation and, because the modelled
-    /// invalidation also flushes the core's caches and kills in-flight
-    /// prefetches, it is a block-invalidating event — all trace templates
-    /// are discarded. Applied identically whether or not tracing is on.
-    pub fn tlb_shootdown(&mut self) {
-        self.tlb.flush();
-        self.l1.flush();
-        self.l2.flush();
-        self.pending_fills.clear();
-        self.rec = None;
-        if let Some(t) = &mut self.trace {
-            t.invalidate_templates();
         }
     }
 
@@ -333,50 +275,7 @@ impl CoreSim {
         let mut mark1_cycle: Option<u64> = None;
         let mut mark2_cycle: Option<u64> = None;
 
-        // The engine is moved out so it can borrow `self` mutably at
-        // segment boundaries; restored before returning.
-        let mut eng = self.trace.take();
-        if let Some(e) = eng.as_mut() {
-            e.begin_run(trace::fingerprint(body, epilogue, threads, nthreads));
-        }
-
         while !ts.iter().all(|t| t.done) {
-            if let Some(e) = eng.as_mut() {
-                // A candidate segment boundary: thread 0's own issue slot
-                // with the pipeline drained. The loop-body wrap itself is
-                // not observable between slots (`issue_slot` wraps and
-                // keeps issuing), so segment completion is detected by
-                // thread 0's iteration counter having advanced to the
-                // recording's target `k` — segments then tile the run
-                // one macro-iteration at a time.
-                let in_segment = self.rec.as_ref().is_some_and(|r| ts[0].iter < r.k);
-                if self.stall == 0
-                    && !body.body.is_empty()
-                    && (self.cycle as usize).is_multiple_of(nthreads)
-                    && !ts[0].done
-                    && !ts[0].in_epilogue
-                    && !in_segment
-                {
-                    e.on_boundary(self, &ts);
-                    while let Some(r) = e.try_replay(self, &mut ts, iters) {
-                        // The interpreter's mark checkpoints fire on the
-                        // first cycle where every thread reached the mark
-                        // iteration; inside a replayed segment those are
-                        // its recorded crossings, in ascending order.
-                        let entry_rel = self.cycle - start_cycle - r.len;
-                        for &(rel, off) in &r.reach {
-                            let v = r.k as i64 + rel;
-                            if mark1_cycle.is_none() && v >= mark1 as i64 {
-                                mark1_cycle = Some(entry_rel + off as u64);
-                            }
-                            if mark2_cycle.is_none() && v >= mark2 as i64 {
-                                mark2_cycle = Some(entry_rel + off as u64);
-                            }
-                        }
-                    }
-                    e.arm_recording(self, &ts);
-                }
-            }
             let mut read_busy = false;
             let mut write_busy = false;
 
@@ -406,27 +305,11 @@ impl CoreSim {
             if mark2_cycle.is_none() && ts.iter().all(|t| t.iter >= mark2 || t.done) {
                 mark2_cycle = Some(self.cycle - start_cycle);
             }
-            if let Some(rec) = &mut self.rec {
-                // Mark-crossing detector: record the offset at which each
-                // successive iteration count becomes reached-by-all.
-                let min_live = ts.iter().filter(|t| !t.done).map(|t| t.iter as i64).min();
-                if let Some(m) = min_live {
-                    while rec.last_min < m {
-                        rec.last_min += 1;
-                        rec.reach.push((
-                            rec.last_min - rec.k as i64,
-                            (self.cycle - rec.entry_cycle) as u32,
-                        ));
-                    }
-                }
-            }
             assert!(
                 self.cycle - start_cycle < budget,
                 "emulated kernel failed to converge"
             );
         }
-        self.rec = None;
-        self.trace = eng;
         let total = self.cycle - start_cycle;
         (
             total,
@@ -498,7 +381,6 @@ impl CoreSim {
         read_busy: &mut bool,
         write_busy: &mut bool,
     ) {
-        self.last_out = ExecOut::None;
         let resolve = |a: &Addr| a.resolve(iter, thread, bases.get(a.stream));
         match instr {
             Instr::Fmadd { acc, src, b } => {
@@ -571,9 +453,6 @@ impl CoreSim {
                         deferred: 0,
                         scale_iter: addr.scale_iter,
                     });
-                    self.last_out = ExecOut::Pref1Queue { l2_hit };
-                } else {
-                    self.last_out = ExecOut::Pref1Skip;
                 }
             }
             Instr::PrefetchL2(addr) => {
@@ -586,43 +465,6 @@ impl CoreSim {
             Instr::ScalarOp => {
                 self.stats.vpipe_issued += 1;
             }
-        }
-        let out = self.last_out;
-        let cycle = self.cycle;
-        if let Some(rec) = self.rec.as_mut() {
-            // Iteration-relative address constant: replay recomputes the
-            // concrete index as c0 + k * scale_iter.
-            let c0 = match Self::instr_addr(&instr) {
-                Some(a) => {
-                    a.resolve(iter, thread, bases.get(a.stream)) as i64
-                        - (rec.k as i64) * (a.scale_iter as i64)
-                }
-                None => 0,
-            };
-            rec.cmds.push(Cmd {
-                off: (cycle - rec.entry_cycle) as u32,
-                kind: CmdKind::Exec {
-                    tid: thread as u8,
-                    instr,
-                    c0,
-                    out,
-                },
-            });
-        }
-    }
-
-    /// The memory address an instruction touches, if any.
-    fn instr_addr(instr: &Instr) -> Option<Addr> {
-        match instr {
-            Instr::Load { addr, .. }
-            | Instr::Store { addr, .. }
-            | Instr::Broadcast { addr, .. }
-            | Instr::PrefetchL1(addr)
-            | Instr::PrefetchL2(addr) => Some(*addr),
-            Instr::Fmadd { src, .. } | Instr::Add { src, .. } | Instr::Mul { src, .. } => {
-                src.addr()
-            }
-            Instr::ScalarOp => None,
         }
     }
 
@@ -659,7 +501,6 @@ impl CoreSim {
         *read_busy = true;
         self.tlb.access(idx * 8);
         if self.l1.access(idx) {
-            self.last_out = ExecOut::Read(ReadOut::Hit);
             return;
         }
         let line = idx / 8;
@@ -675,7 +516,6 @@ impl CoreSim {
             self.stats.demand_stall_cycles += wait;
             self.l1.fill(idx);
             self.stats.fills_completed += 1;
-            self.last_out = ExecOut::Read(ReadOut::Pending { wait });
             return;
         }
         let l2_hit = self.l2.contains(idx);
@@ -688,7 +528,6 @@ impl CoreSim {
         self.stats.demand_stall_cycles += penalty;
         self.l2.fill(idx);
         self.l1.fill(idx);
-        self.last_out = ExecOut::Read(if l2_hit { ReadOut::L2 } else { ReadOut::Mem });
     }
 
     /// Tries to complete one pending L1 fill this cycle; defers or forces
@@ -698,13 +537,11 @@ impl CoreSim {
         let Some(pos) = self.pending_fills.iter().position(|f| f.ready_at <= cyc) else {
             return;
         };
-        let kind;
         if !read_busy && !write_busy {
             let f = self.pending_fills.remove(pos);
             self.l1.fill(f.elem_idx);
             self.stats.fills_completed += 1;
             self.stats.fills_in_holes += 1;
-            kind = trace::FillKind::Hole;
         } else {
             let f = &mut self.pending_fills[pos];
             f.deferred += 1;
@@ -714,16 +551,7 @@ impl CoreSim {
                 self.stats.fills_completed += 1;
                 self.stall += self.cfg.fill_stall_cycles;
                 self.stats.fill_stall_cycles += self.cfg.fill_stall_cycles;
-                kind = trace::FillKind::Forced;
-            } else {
-                kind = trace::FillKind::Defer;
             }
-        }
-        if let Some(rec) = &mut self.rec {
-            rec.cmds.push(Cmd {
-                off: (cyc - rec.entry_cycle) as u32,
-                kind: CmdKind::Fill(kind),
-            });
         }
     }
 }

@@ -26,7 +26,6 @@
 use crate::emu::{CoreSim, RunStats, StreamBases};
 use crate::isa::{Addr, BcastMode, Instr, Operand, Program, StreamId};
 use crate::pipeline::PipelineConfig;
-use crate::trace::TraceStats;
 use phi_blas::gemm::MicroKernelKind;
 
 /// Column stride of the padded `a` tile: 32 elements = 4 cache lines.
@@ -225,34 +224,6 @@ pub fn run_tile_product(
     bs: &[Vec<f64>; 4],
     cfg: PipelineConfig,
 ) -> KernelReport {
-    run_tile_product_impl(kind, depth, a, bs, cfg, false).0
-}
-
-/// [`run_tile_product`] with the block-trace fast path enabled
-/// ([`crate::trace`]). The report is guaranteed bit-identical to the
-/// interpreter's; the extras are the trace counters and the coverage
-/// speedup (total cycles over interpreter-executed cycles).
-pub fn run_tile_product_traced(
-    kind: MicroKernelKind,
-    depth: usize,
-    a: &[f64],
-    bs: &[Vec<f64>; 4],
-    cfg: PipelineConfig,
-) -> (KernelReport, TraceStats, f64) {
-    let (rep, extra) = run_tile_product_impl(kind, depth, a, bs, cfg, true);
-    let (stats, speedup) = extra.expect("tracing was enabled");
-    (rep, stats, speedup)
-}
-
-#[allow(clippy::type_complexity)]
-fn run_tile_product_impl(
-    kind: MicroKernelKind,
-    depth: usize,
-    a: &[f64],
-    bs: &[Vec<f64>; 4],
-    cfg: PipelineConfig,
-    traced: bool,
-) -> (KernelReport, Option<(TraceStats, f64)>) {
     let mr = kernel_mr(kind);
     assert_eq!(a.len(), mr * depth, "a tile shape");
     for b in bs {
@@ -260,58 +231,32 @@ fn run_tile_product_impl(
     }
     let (body, epi) = build_basic_kernel(kind);
 
-    let build_sim = |iters: usize| -> (CoreSim, [StreamBases; 4]) {
-        let l = layout(mr, depth);
-        let mut mem = vec![0.0; l.total];
-        // Repack a into the padded 32-element column stride.
-        for p in 0..depth {
-            for r in 0..mr {
-                mem[l.a_base + p * A_COL_STRIDE + r] = a[p * mr + r];
-            }
+    let l = layout(mr, depth);
+    let mut mem = vec![0.0; l.total];
+    // Repack a into the padded 32-element column stride.
+    for p in 0..depth {
+        for r in 0..mr {
+            mem[l.a_base + p * A_COL_STRIDE + r] = a[p * mr + r];
         }
-        for t in 0..4 {
-            mem[l.b_base[t]..l.b_base[t] + depth * NR].copy_from_slice(&bs[t]);
-        }
-        let threads = [
-            StreamBases {
-                a: l.a_base,
-                b: l.b_base[0],
-                c: l.c_base[0],
-            },
-            StreamBases {
-                a: l.a_base,
-                b: l.b_base[1],
-                c: l.c_base[1],
-            },
-            StreamBases {
-                a: l.a_base,
-                b: l.b_base[2],
-                c: l.c_base[2],
-            },
-            StreamBases {
-                a: l.a_base,
-                b: l.b_base[3],
-                c: l.c_base[3],
-            },
-        ];
-        let sim = CoreSim::new(cfg, mem);
-        let _ = iters;
-        (sim, threads)
-    };
+    }
+    for t in 0..4 {
+        mem[l.b_base[t]..l.b_base[t] + depth * NR].copy_from_slice(&bs[t]);
+    }
+    let threads: [StreamBases; 4] = std::array::from_fn(|t| StreamBases {
+        a: l.a_base,
+        b: l.b_base[t],
+        c: l.c_base[t],
+    });
+    let mut sim = CoreSim::new(cfg, mem);
 
     // Single run with two in-loop checkpoints: the marginal cycles
     // between them are free of both cold-start effects (cache warming)
     // and the end-of-loop drain (the first thread's epilogue misses).
-    let (mut sim, threads) = build_sim(depth);
-    if traced {
-        sim.enable_trace();
-    }
     let mark1 = (depth / 4).max(1).min(depth);
     let mark2 = (depth.saturating_sub(depth / 8)).max(mark1);
     let (cycles_total, mark_cycle, loop_end) =
         sim.run_with_marks(&body, &epi, depth, &threads, mark1, mark2);
     let stats = sim.stats();
-    let l = layout(mr, depth);
     let c_tiles: Vec<Vec<f64>> = (0..4)
         .map(|t| sim.mem()[l.c_base[t]..l.c_base[t] + mr * NR].to_vec())
         .collect();
@@ -321,21 +266,17 @@ fn run_tile_product_impl(
     // Four threads perform 4*mr FMAs per iteration.
     let steady_efficiency = (4 * mr) as f64 / steady_cycles_per_iter;
 
-    let extra = sim.trace_stats().map(|t| (t, sim.replay_speedup()));
-    (
-        KernelReport {
-            kind,
-            mr,
-            depth,
-            cycles_total,
-            steady_cycles_per_iter,
-            steady_efficiency,
-            theoretical_efficiency: body.theoretical_efficiency(),
-            stats,
-            c_tiles,
-        },
-        extra,
-    )
+    KernelReport {
+        kind,
+        mr,
+        depth,
+        cycles_total,
+        steady_cycles_per_iter,
+        steady_efficiency,
+        theoretical_efficiency: body.theoretical_efficiency(),
+        stats,
+        c_tiles,
+    }
 }
 
 #[cfg(test)]
@@ -465,30 +406,6 @@ mod tests {
             "kernel2 must not stall: {} stall cycles",
             r2.stats.fill_stall_cycles
         );
-    }
-
-    #[test]
-    fn traced_tile_product_is_bit_identical_and_covers() {
-        for (kind, seed) in [(MicroKernelKind::Kernel1, 6), (MicroKernelKind::Kernel2, 7)] {
-            let mr = kernel_mr(kind);
-            let depth = 256;
-            let (a, bs) = random_tiles(mr, depth, seed);
-            let slow = run_tile_product(kind, depth, &a, &bs, PipelineConfig::default());
-            let (fast, ts, speedup) =
-                run_tile_product_traced(kind, depth, &a, &bs, PipelineConfig::default());
-            assert_eq!(slow.cycles_total, fast.cycles_total, "{kind:?}");
-            assert_eq!(
-                slow.steady_cycles_per_iter, fast.steady_cycles_per_iter,
-                "{kind:?}"
-            );
-            assert_eq!(slow.stats, fast.stats, "{kind:?}");
-            assert_eq!(slow.c_tiles, fast.c_tiles, "{kind:?}");
-            assert!(
-                ts.replayed_segments > depth as u64 / 2,
-                "{kind:?} must replay most iterations: {ts:?}"
-            );
-            assert!(speedup > 2.0, "{kind:?} coverage speedup {speedup:.2}");
-        }
     }
 
     #[test]

@@ -42,14 +42,12 @@ pub mod spmv;
 pub mod stencil;
 pub mod stream;
 pub mod tlb;
-pub mod trace;
 
 pub use chip::{GemmModel, KncChip, LuTaskModel, Precision};
 pub use emu::{CoreSim, RunStats};
 pub use isa::{Addr, BcastMode, Instr, Operand, Program, StreamId};
 pub use kernels::{build_basic_kernel, run_tile_product, KernelReport};
-pub use pipeline::{PipelineConfig, TraceConfig};
+pub use pipeline::PipelineConfig;
 pub use roofline::{RooflineClass, RooflinePoint};
-pub use spmv::{build_spmv_kernel, run_spmv, run_spmv_traced, Csr, SpmvReport};
+pub use spmv::{build_spmv_kernel, run_spmv, Csr, SpmvReport};
 pub use stencil::{build_stencil_kernel, run_stencil, StarStencil, StencilReport};
-pub use trace::TraceStats;

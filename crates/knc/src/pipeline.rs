@@ -52,38 +52,9 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Knobs of the block-trace fast path ([`crate::trace`]). Kept separate
-/// from [`PipelineConfig`] — they change *how fast the simulator runs*,
-/// never what it computes.
-#[derive(Clone, Copy, Debug)]
-pub struct TraceConfig {
-    /// Largest steady-state period, in macro-iterations, the template
-    /// detector recognizes (software-pipelined kernels can alternate
-    /// between a small cycle of distinct segment shapes).
-    pub max_period: usize,
-    /// Recorded segments retained for period detection; must exceed
-    /// `2 * max_period` so a full double period fits.
-    pub ring_cap: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        Self {
-            max_period: 4,
-            ring_cap: 9,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trace_defaults_are_consistent() {
-        let t = TraceConfig::default();
-        assert!(t.ring_cap > 2 * t.max_period);
-    }
 
     #[test]
     fn defaults_match_paper_bounds() {

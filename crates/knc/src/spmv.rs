@@ -26,8 +26,8 @@
 //! two fills each chunk queues could only force their way in through
 //! Fig. 1c threshold stalls. The two u-only turns are deliberate holes:
 //! one deferred fill completes in each, balancing fills against holes
-//! exactly, and the steady state becomes a pure L1-hit fixed point that
-//! the block-trace engine can template and replay. The kernel's roofline
+//! exactly, and the steady state becomes a pure L1-hit fixed point. The
+//! kernel's roofline
 //! class is [`RooflineClass::BandwidthBound`](crate::roofline::RooflineClass::BandwidthBound) by construction — the
 //! memory system still paces the chip-level throughput; the hole
 //! structure just keeps the core from paying for that twice.
@@ -36,7 +36,6 @@ use crate::emu::{CoreSim, RunStats, StreamBases};
 use crate::isa::{Addr, Instr, Operand, Program, StreamId, LINE_ELEMS, VLEN};
 use crate::pipeline::PipelineConfig;
 use crate::roofline::{self, RooflinePoint};
-use crate::trace::TraceStats;
 
 /// Rows per slice: one vector lane per row.
 pub const SLICE_ROWS: usize = VLEN;
@@ -47,8 +46,8 @@ pub const BLOCK_ROWS: usize = SLICE_ROWS * BLOCK_SLICES;
 /// L1 prefetch distance in chunks (= cache lines). Two iterations of
 /// lead time (32 aggregate cycles at 4 threads) comfortably covers the
 /// 12-cycle L2 fill latency while keeping the pending-fill queue shallow
-/// enough that the steady state is a fixed point the trace engine can
-/// template. Bounded above by the lint warmup window (8 lines).
+/// enough that the steady state is a fixed point. Bounded above by the
+/// lint warmup window (8 lines).
 pub const SPMV_PF_DIST: usize = 2;
 /// L2 prefetch distance in chunks for the `vprefetch1` filler turns.
 /// Further out than [`SPMV_PF_DIST`] so a line is already L2-resident
@@ -293,33 +292,13 @@ fn block_layout(chunks: usize) -> BlockLayout {
     }
 }
 
-/// Emulates `y = A·x` block by block (interpreter path).
+/// Emulates `y = A·x` block by block.
 pub fn run_spmv(a: &Csr, x: &[f64], cfg: PipelineConfig) -> SpmvReport {
-    run_spmv_impl(a, x, cfg, false).0
-}
-
-/// [`run_spmv`] with the block-trace fast path enabled. The report is
-/// bit-identical to the interpreter's; the extras are the aggregated
-/// trace counters and the overall coverage speedup.
-pub fn run_spmv_traced(a: &Csr, x: &[f64], cfg: PipelineConfig) -> (SpmvReport, TraceStats, f64) {
-    let (rep, extra) = run_spmv_impl(a, x, cfg, true);
-    let (stats, speedup) = extra.expect("tracing was enabled");
-    (rep, stats, speedup)
-}
-
-fn run_spmv_impl(
-    a: &Csr,
-    x: &[f64],
-    cfg: PipelineConfig,
-    traced: bool,
-) -> (SpmvReport, Option<(TraceStats, f64)>) {
     assert_eq!(x.len(), a.cols, "x length");
     let blocks = a.rows.div_ceil(BLOCK_ROWS);
     let mut y = vec![0.0; a.rows];
     let mut cycles_total = 0u64;
     let mut stats = RunStats::default();
-    let mut trace = TraceStats::default();
-    let mut replayed_cycles = 0u64;
     let mut padded_nnz = 0usize;
 
     for blk in 0..blocks {
@@ -356,9 +335,6 @@ fn run_spmv_impl(
         // they are L2-resident, so prefetches pay the L2-hit latency.
         sim.warm_l2(l.a_base, BLOCK_SLICES * SLICE_ROWS * chunks);
         sim.warm_l2(l.b_base[0], BLOCK_SLICES * SLICE_ROWS * chunks);
-        if traced {
-            sim.enable_trace();
-        }
         cycles_total += sim.run(&body, &epi, chunks, &threads);
         let s = sim.stats();
         stats.cycles += s.cycles;
@@ -369,16 +345,6 @@ fn run_spmv_impl(
         stats.demand_stall_cycles += s.demand_stall_cycles;
         stats.fills_in_holes += s.fills_in_holes;
         stats.fills_completed += s.fills_completed;
-        if let Some(ts) = sim.trace_stats() {
-            trace.recorded_segments += ts.recorded_segments;
-            trace.templates_formed += ts.templates_formed;
-            trace.replayed_segments += ts.replayed_segments;
-            trace.replayed_cycles += ts.replayed_cycles;
-            trace.guard_misses += ts.guard_misses;
-            trace.deopts += ts.deopts;
-            trace.invalidations += ts.invalidations;
-            replayed_cycles += ts.replayed_cycles;
-        }
         for t in 0..BLOCK_SLICES {
             for lane in 0..SLICE_ROWS {
                 let r = row0 + t * SLICE_ROWS + lane;
@@ -389,26 +355,14 @@ fn run_spmv_impl(
         }
     }
 
-    let extra = traced.then(|| {
-        let interpreted = cycles_total.saturating_sub(replayed_cycles);
-        let speedup = if cycles_total == 0 || interpreted == 0 {
-            1.0
-        } else {
-            cycles_total as f64 / interpreted as f64
-        };
-        (trace, speedup)
-    });
-    (
-        SpmvReport {
-            rows: a.rows,
-            nnz: a.nnz(),
-            padded_nnz,
-            cycles_total,
-            stats,
-            y,
-        },
-        extra,
-    )
+    SpmvReport {
+        rows: a.rows,
+        nnz: a.nnz(),
+        padded_nnz,
+        cycles_total,
+        stats,
+        y,
+    }
 }
 
 /// A deterministic banded test matrix: `band` nonzeros per row, columns
@@ -429,8 +383,7 @@ pub fn banded_csr(n: usize, band: usize, seed: u64) -> Csr {
 }
 
 /// A deterministic rectangular matrix with exactly `per_row` nonzeros in
-/// every row — deep uniform slices, the shape the replay fast path sees
-/// in a long inner loop.
+/// every row — deep uniform slices, the shape of a long inner loop.
 pub fn uniform_rect_csr(rows: usize, per_row: usize, seed: u64) -> Csr {
     let cols = (8 * per_row).max(16);
     let mut triplets = Vec::with_capacity(rows * per_row);
@@ -485,39 +438,6 @@ mod tests {
         let p = a.roofline(&chip);
         assert_eq!(p.class, RooflineClass::BandwidthBound);
         assert!(p.attainable_gflops < 0.1 * chip.native_peak_gflops(crate::Precision::F64));
-    }
-
-    #[test]
-    fn traced_spmv_is_bit_identical_and_replays() {
-        let a = uniform_rect_csr(BLOCK_ROWS, 300, 11); // one deep block
-        let x: Vec<f64> = (0..a.cols).map(|i| (i % 17) as f64 - 8.0).collect();
-        let slow = run_spmv(&a, &x, PipelineConfig::default());
-        let (fast, ts, speedup) = run_spmv_traced(&a, &x, PipelineConfig::default());
-        assert_eq!(slow.cycles_total, fast.cycles_total);
-        assert_eq!(slow.stats, fast.stats);
-        assert_eq!(slow.y, fast.y);
-        assert!(
-            ts.replayed_segments > 100,
-            "deep spmv block must replay: {ts:?}"
-        );
-        assert!(speedup > 1.5, "coverage speedup {speedup:.2}");
-    }
-
-    /// Authoring aid: sweep prefetch distances and print trace-engine
-    /// behaviour. `cargo test -p phi-knc --lib probe_spmv -- --ignored --nocapture`
-    #[test]
-    #[ignore]
-    fn probe_spmv_replay() {
-        let a = uniform_rect_csr(BLOCK_ROWS, 300, 11);
-        let x: Vec<f64> = (0..a.cols).map(|i| (i % 17) as f64 - 8.0).collect();
-        let (rep, ts, speedup) = run_spmv_traced(&a, &x, PipelineConfig::default());
-        println!(
-            "dist={SPMV_PF_DIST} cycles={} fill_stall={} demand_stall={} holes={} {ts:?} speedup={speedup:.2}",
-            rep.cycles_total,
-            rep.stats.fill_stall_cycles,
-            rep.stats.demand_stall_cycles,
-            rep.stats.fills_in_holes,
-        );
     }
 
     #[test]

@@ -55,56 +55,6 @@ impl Tlb {
         }
     }
 
-    /// [`Self::access`] with an undo record appended to `log` (trace
-    /// replay). Counters are snapshot/restored by the caller.
-    pub fn access_logged(&mut self, byte_addr: usize, log: &mut Vec<TlbUndo>) -> bool {
-        let page = (byte_addr / self.page_bytes) as u64;
-        if let Some(pos) = self.pages.iter().position(|&p| p == page) {
-            self.pages.remove(pos);
-            self.pages.insert(0, page);
-            self.hits += 1;
-            log.push(TlbUndo::Touched { from_pos: pos });
-            true
-        } else {
-            self.pages.insert(0, page);
-            let evicted = if self.pages.len() > self.entries {
-                self.pages.pop()
-            } else {
-                None
-            };
-            self.misses += 1;
-            log.push(TlbUndo::Inserted { evicted });
-            false
-        }
-    }
-
-    /// Reverses one logged mutation (undo in reverse order of logging).
-    pub fn undo(&mut self, op: TlbUndo) {
-        match op {
-            TlbUndo::Touched { from_pos } => {
-                let page = self.pages.remove(0);
-                self.pages.insert(from_pos, page);
-            }
-            TlbUndo::Inserted { evicted } => {
-                self.pages.remove(0);
-                if let Some(p) = evicted {
-                    self.pages.push(p);
-                }
-            }
-        }
-    }
-
-    /// Overwrites the counters — rollback companion of [`Self::undo`].
-    pub fn set_stats(&mut self, hits: u64, misses: u64) {
-        self.hits = hits;
-        self.misses = misses;
-    }
-
-    /// Drops every translation (counters kept) — a TLB shootdown.
-    pub fn flush(&mut self) {
-        self.pages.clear();
-    }
-
     /// FNV-1a digest of resident pages (LRU order) plus counters.
     pub fn digest(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -136,21 +86,6 @@ impl Tlb {
             self.misses as f64 / total as f64
         }
     }
-}
-
-/// A reversible record of one TLB mutation (see [`Tlb::access_logged`]).
-#[derive(Clone, Copy, Debug)]
-pub enum TlbUndo {
-    /// A resident page moved from `from_pos` to MRU position 0.
-    Touched {
-        /// Position the page occupied before promotion.
-        from_pos: usize,
-    },
-    /// A new page was inserted at MRU, possibly evicting the LRU page.
-    Inserted {
-        /// The evicted page, if the TLB was full.
-        evicted: Option<u64>,
-    },
 }
 
 /// Walks the access pattern of reading `cols` consecutive elements from

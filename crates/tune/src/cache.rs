@@ -2,8 +2,8 @@
 //! [`phi_serve::ResultStore`].
 //!
 //! A tuning result is stored under an FNV-1a key over the machine
-//! fingerprint, the search-space signature, the seed and the tuner
-//! version — the same content-addressing scheme `phi-faults` uses for
+//! fingerprint, the search-space signature, the result-affecting
+//! [`TuneOptions`] and the tuner version — the same content-addressing scheme `phi-faults` uses for
 //! replay fingerprints. The framing (header line, hex-bit `f64` text,
 //! `end <fnv>` integrity trailer, `tune-<key>.txt` file naming) now
 //! lives in `phi-serve`'s generic store; this module contributes only
@@ -13,7 +13,7 @@
 //! two runs with the same key still produce byte-identical files
 //! (wall time and the cache-hit flag are deliberately excluded).
 
-use crate::search::{ScoredCandidate, TuneOutcome, TunedConfig};
+use crate::search::{ScoredCandidate, TuneOptions, TuneOutcome, TunedConfig};
 use crate::space::{Candidate, MachineConfig, TuneSpace};
 use crate::Fnv;
 use phi_fabric::BcastScheme;
@@ -35,13 +35,19 @@ pub use phi_serve::store::StoreReadError as CacheReadError;
 /// `end <fnv>` integrity trailer.
 const TUNER_VERSION: u64 = 2;
 
-/// The content-addressed cache key of a tuning run.
-pub fn cache_key(machine: &MachineConfig, space: &TuneSpace, seed: u64) -> u64 {
+/// The content-addressed cache key of a tuning run: every input that
+/// can change the outcome. `opts.threads` is left out — it changes wall
+/// time only.
+pub fn cache_key(machine: &MachineConfig, space: &TuneSpace, opts: &TuneOptions) -> u64 {
     let mut h = Fnv::new();
     h.write_u64(TUNER_VERSION);
     h.write_u64(machine.fingerprint());
     h.write_u64(space.signature());
-    h.write_u64(seed);
+    h.write_u64(opts.seed);
+    h.write_u64(opts.coarse_only as u64);
+    h.write_u64(opts.finalists as u64);
+    h.write_u64(opts.refine_rounds as u64);
+    h.write_u64(opts.sample_every as u64);
     h.finish()
 }
 
@@ -321,15 +327,60 @@ mod tests {
 
         // A different machine fingerprint keys differently.
         let other = MachineConfig { n: 60_000, ..m };
-        assert_ne!(
-            cache_key(&m, &space, opts.seed),
-            cache_key(&other, &TuneSpace::coarse(&other), opts.seed)
+        let key = cache_key(&m, &space, &opts);
+        assert_ne!(key, cache_key(&other, &TuneSpace::coarse(&other), &opts));
+        // So does every option that can change the outcome...
+        for changed in [
+            TuneOptions {
+                seed: opts.seed + 1,
+                ..opts
+            },
+            TuneOptions {
+                coarse_only: !opts.coarse_only,
+                ..opts
+            },
+            TuneOptions {
+                finalists: opts.finalists + 1,
+                ..opts
+            },
+            TuneOptions {
+                refine_rounds: opts.refine_rounds + 1,
+                ..opts
+            },
+            TuneOptions {
+                sample_every: opts.sample_every + 1,
+                ..opts
+            },
+        ] {
+            assert_ne!(key, cache_key(&m, &space, &changed), "{changed:?}");
+        }
+        // ...but not the worker count, which only changes wall time.
+        let threads = TuneOptions {
+            threads: opts.threads + 3,
+            ..opts
+        };
+        assert_eq!(key, cache_key(&m, &space, &threads));
+    }
+
+    #[test]
+    fn coarse_only_result_is_not_served_as_a_full_tune() {
+        let dir = tmp_dir("coarse-then-full");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = TuneCache::open(&dir).unwrap();
+        let m = small_machine();
+        let space = TuneSpace::coarse(&m);
+        let smoke = TuneOptions {
+            coarse_only: true,
+            ..TuneOptions::default()
+        };
+        assert!(!tune_cached(&m, &space, &smoke, &cache).unwrap().cache_hit);
+        let full = tune_cached(&m, &space, &TuneOptions::default(), &cache).unwrap();
+        assert!(
+            !full.cache_hit,
+            "a full tune must not reuse the smoke result"
         );
-        // A different seed keys differently too.
-        assert_ne!(
-            cache_key(&m, &space, opts.seed),
-            cache_key(&m, &space, opts.seed + 1)
-        );
+        assert!(tune_cached(&m, &space, &smoke, &cache).unwrap().cache_hit);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!   deterministic by-index merge, so the result is independent of
 //!   thread count;
 //! * [`TuneCache`] is a content-addressed cache keyed by an FNV-1a
-//!   fingerprint of the machine, the search space and the seed (the
-//!   same fingerprint scheme `phi-faults` uses for replay identity) —
-//!   a second run with the same key is a pure cache hit. The framing
+//!   fingerprint of the machine, the search space and every option that
+//!   can change the result (the same fingerprint scheme `phi-faults`
+//!   uses for replay identity) — a second run with the same key is a
+//!   pure cache hit. The framing
 //!   lives in `phi-serve`'s shared [`phi_serve::ResultStore`]; the
 //!   on-disk bytes are unchanged from the pre-migration v2 format.
 //!

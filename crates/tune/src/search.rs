@@ -23,7 +23,7 @@ pub const MAX_TABLE: usize = 16;
 /// index).
 #[derive(Clone, Copy, Debug)]
 pub struct TuneOptions {
-    /// Seed of the refinement proposals (part of the cache key).
+    /// Seed of the refinement proposals.
     pub seed: u64,
     /// Worker threads (0 = auto: available parallelism, capped at 8).
     pub threads: usize,
@@ -289,15 +289,14 @@ fn select(set: &[ScoredCandidate], baseline_key: CandidateKey) -> usize {
 }
 
 /// Runs the full search (no cache). Deterministic for a given
-/// `(machine, space, opts.seed)`; `opts.threads` never changes the
-/// result.
+/// `(machine, space, opts)`; `opts.threads` never changes the result.
 ///
 /// # Panics
 /// Panics when the paper baseline configuration does not fit the
 /// machine — the never-regress guard needs it in the population.
 pub fn tune(machine: &MachineConfig, space: &TuneSpace, opts: &TuneOptions) -> TuneOutcome {
     let t0 = Instant::now(); // lint:allow(seed-bypass): wall time reported, not consumed
-    let fingerprint = cache::cache_key(machine, space, opts.seed);
+    let fingerprint = cache::cache_key(machine, space, opts);
     let baseline = Candidate::paper_baseline(machine);
     assert!(
         baseline.feasible(machine),
@@ -431,7 +430,8 @@ fn pack(
 }
 
 /// [`tune`] behind a content-addressed cache: a prior run with the same
-/// machine fingerprint, space signature and seed is returned verbatim
+/// machine fingerprint, space signature and options (all but `threads`)
+/// is returned verbatim
 /// (with `cache_hit = true`) without evaluating a single candidate.
 pub fn tune_cached(
     machine: &MachineConfig,
@@ -440,7 +440,7 @@ pub fn tune_cached(
     cache: &cache::TuneCache,
 ) -> std::io::Result<TuneOutcome> {
     let t0 = Instant::now(); // lint:allow(seed-bypass): wall time reported, not consumed
-    let key = cache::cache_key(machine, space, opts.seed);
+    let key = cache::cache_key(machine, space, opts);
     match cache.load_checked(key) {
         Ok(Some(mut out)) => {
             out.cache_hit = true;
